@@ -112,8 +112,9 @@ class JoinProcessingNode:
         self.network = network
         self._event_keys = EventKeySource(node_id)
         """Entity-local event keys for everything this node schedules
-        (service completions, recovery timers, ARQ retransmits) -- the
-        ordering contract the sharded engine depends on."""
+        (service completions, recovery timers, ARQ retransmits), so
+        same-time ties among them order by this node's own history
+        (see repro.net.simulator)."""
         self.accounting_ops: List[tuple] = []
         """Deferred ground-truth/collector operations, logged in service
         order and replayed in canonical ``(time, node, seq)`` order at
@@ -454,7 +455,7 @@ class JoinProcessingNode:
         among equals (the youngest low-value work loses first).  Incoming
         work that does not outrank the victim is shed itself, so the queue
         never exceeds ``queue_bound`` and admission is a pure function of
-        queue contents -- no RNG, no wall clock, engine-independent.
+        queue contents -- no RNG, no wall clock.
         """
         queue = self._queue
         incoming = self._work_priority(work)
@@ -572,7 +573,6 @@ class JoinProcessingNode:
             service_time,
             self._finish_service,
             key=self._event_keys.next_key(),
-            home=self.node_id,
         )
 
     def _dispatch(self, kind: str, payload: object) -> float:
@@ -985,7 +985,6 @@ class JoinProcessingNode:
             self.recovery_settings.restore_delay_s,
             self._complete_restore,
             key=self._event_keys.next_key(),
-            home=self.node_id,
         )
 
     def _complete_restore(self) -> None:
@@ -1034,7 +1033,6 @@ class JoinProcessingNode:
             self.recovery_settings.catchup_timeout_s,
             self._on_catchup_deadline,
             key=self._event_keys.next_key(),
-            home=self.node_id,
         )
 
     def _send_transfer_request(self, peer: int) -> None:
@@ -1070,7 +1068,6 @@ class JoinProcessingNode:
                 delay,
                 lambda p=peer: self._on_transfer_timeout(p),
                 key=self._event_keys.next_key(),
-                home=self.node_id,
             )
 
     def _on_transfer_timeout(self, peer: int) -> None:
@@ -1357,12 +1354,11 @@ class JoinProcessingNode:
 
         The ground-truth oracle and result collector are the only pieces
         of *global* mutable state in the data plane; touching them from
-        inside the event loop would force every execution engine to
-        reproduce the exact global interleaving of node events.  Logging
-        the operations instead -- keyed ``(time, node, per-node seq)`` --
-        lets both the serial and the sharded engine replay them in one
-        canonical order, so accuracy accounting is engine-independent by
-        construction.
+        inside the event loop would tie the accuracy numbers to the exact
+        global interleaving of node events.  Logging the operations
+        instead -- keyed ``(time, node, per-node seq)`` -- and replaying
+        them in that canonical order at collect time makes the accounting
+        a pure function of the per-node histories.
         """
         self.accounting_ops.append(
             (now, self.node_id, self._acct_seq, runtime.query_id, kind, payload)
@@ -1579,69 +1575,3 @@ class JoinProcessingNode:
             for key, value in self.recovery_machine.counters().items():
                 counters["recovery_" + key] = value
         return counters
-
-    def runtime_record(self) -> Dict[str, object]:
-        """Everything the collection pass needs from this node, as data.
-
-        The sharded engine ships one record per home node back to the
-        parent process; the serial engine builds identical records from
-        the live nodes, so ``DistributedJoinSystem._collect`` stays
-        engine-agnostic.  Consuming the record drains the accounting
-        log (replay happens exactly once per run either way).
-        """
-        record: Dict[str, object] = {
-            "node_id": self.node_id,
-            "diagnostics": self.diagnostics(),
-            "accounting_ops": self.accounting_ops,
-            "local_arrivals_dropped": self.local_arrivals_dropped,
-            "transport": (
-                self.transport.counters() if self.transport is not None else None
-            ),
-            "health": (
-                self.health.counters() if self.health is not None else None
-            ),
-            "forced_broadcast_sends": self.forced_broadcast_sends,
-            "suppressed_sends": self.suppressed_sends,
-            "resyncs": self.resyncs,
-            "restarts": self.restarts,
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "tuples_logged": self.tuples_logged,
-            "tuples_replayed": self.tuples_replayed,
-            "replay_dropped": self.replay_dropped,
-            "state_transfer_bytes": self.state_transfer_bytes,
-            "state_transfer_delta_bytes": self.state_transfer_delta_bytes,
-            "state_transfer_full_bytes": self.state_transfer_full_bytes,
-            "state_transfer_bytes_saved": self.state_transfer_bytes_saved,
-            "state_transfer_fallbacks": self.state_transfer_fallbacks,
-            "rejoin_latencies": (
-                list(self.recovery_machine.rejoin_latencies)
-                if self.recovery_machine is not None
-                else None
-            ),
-            "recovery_triggers": (
-                [trigger for _, trigger, _ in self.recovery_machine.history]
-                if self.recovery_machine is not None
-                else None
-            ),
-            "shed_tuples": self.shed_tuples,
-            "shed_messages": self.shed_messages,
-            "suppressed_flushes": self.suppressed_flushes,
-            "degradation_mode": (
-                self.degradation_ladder.mode.value
-                if self.degradation_ladder is not None
-                else None
-            ),
-            "overload_residency": (
-                self.degradation_ladder.residency_seconds(self.scheduler.now)
-                if self.degradation_ladder is not None
-                else None
-            ),
-            "overload_transitions": (
-                len(self.degradation_ladder.history)
-                if self.degradation_ladder is not None
-                else None
-            ),
-        }
-        self.accounting_ops = []
-        return record

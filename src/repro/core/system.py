@@ -9,9 +9,10 @@ metrics of Section 6.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -79,27 +80,18 @@ def build_key_stream(workload: WorkloadConfig, rng: np.random.Generator) -> Iter
 class DistributedJoinSystem:
     """End-to-end assembly and execution of one experiment run."""
 
-    def __init__(self, config: SystemConfig, profiler=None, shards=None) -> None:
+    def __init__(self, config: SystemConfig, profiler=None, shards: int = 1) -> None:
+        if shards != 1:
+            raise ConfigurationError(
+                "within-run sharding was removed; shards must be 1, got %r "
+                "(parallelize across runs with --jobs)" % (shards,)
+            )
         config.validate()
         reset_tuple_ids()
         self.config = config
         self.profiler = profiler
         """Optional :class:`~repro.profiling.KernelProfiler`; threaded
         into every node's service loop and snapshot into the result."""
-        from repro.engine import make_engine
-
-        self.engine = make_engine(shards, config)
-        """The :class:`~repro.engine.ExecutionEngine` driving :meth:`run`:
-        the serial reference scheduler by default, the sharded
-        multi-process engine when ``shards`` resolves to >= 2."""
-        self._node_records = None
-        """Per-node collection records (see
-        :meth:`~repro.core.node.JoinProcessingNode.runtime_record`).
-        ``None`` until collection; the sharded engine pre-fills it from
-        worker fragments, the serial path builds it from live nodes."""
-        self._home_filter: Optional[Callable[[int], bool]] = None
-        """Sharded-worker node ownership test for the telemetry sampler;
-        ``None`` (serial) samples everything."""
         root_rng = ensure_rng(config.seed)
         (
             self._workload_rng,
@@ -123,7 +115,6 @@ class DistributedJoinSystem:
                 config.telemetry, clock=lambda: self.scheduler.now
             )
             self.scheduler.telemetry = self.telemetry
-            self.telemetry.order_source = lambda: self.scheduler.current_key
             self.telemetry.add_sampler(self._sample_telemetry)
             if config.telemetry.dashboard:
                 from repro.telemetry import AsciiDashboard
@@ -145,8 +136,7 @@ class DistributedJoinSystem:
         )
         # Keyed per-link RNG streams + entity-ranked arrival keys: a
         # link's randomness and event ordering become pure functions of
-        # its endpoints, independent of first-use order (and therefore of
-        # execution engine).
+        # its endpoints, independent of first-use order.
         self.network.prepare(config.num_nodes)
         if config.overload.enabled and config.overload.link_backlog_bound_s > 0.0:
             # Wired before any link exists, so every lazily-created link
@@ -340,13 +330,11 @@ class DistributedJoinSystem:
                     self.scheduler.schedule_at(
                         when,
                         lambda n=node, t=batch[0]: n.on_local_arrival(t),
-                        home=origin,
                     )
                 else:
                     self.scheduler.schedule_at(
                         when,
                         lambda n=node, b=tuple(batch): n.on_local_arrivals(b),
-                        home=origin,
                     )
                 index = end
             last_time = max(last_time, float(times[-1]))
@@ -372,12 +360,8 @@ class DistributedJoinSystem:
                 continue
             for target in sorted(set(event.nodes)):
                 node = self.nodes[target]
-                self.scheduler.schedule_at(
-                    event.start_s, lambda n=node: n.on_crash(), home=target
-                )
-                self.scheduler.schedule_at(
-                    event.end_s, lambda n=node: n.on_restart(), home=target
-                )
+                self.scheduler.schedule_at(event.start_s, lambda n=node: n.on_crash())
+                self.scheduler.schedule_at(event.end_s, lambda n=node: n.on_restart())
 
     def _schedule_checkpoints(self) -> None:
         """Pre-schedule every checkpoint tick over the run's span.
@@ -393,9 +377,7 @@ class DistributedJoinSystem:
         for index in range(1, count + 1):
             when = index * interval
             for node in self.nodes:
-                self.scheduler.schedule_at(
-                    when, lambda n=node: n.take_checkpoint(), home=node.node_id
-                )
+                self.scheduler.schedule_at(when, lambda n=node: n.take_checkpoint())
 
     def _schedule_heartbeats(self) -> None:
         """Pre-schedule every heartbeat tick over the run's span.
@@ -414,9 +396,7 @@ class DistributedJoinSystem:
         for index in range(1, count + 1):
             when = index * tick
             for node in self.nodes:
-                self.scheduler.schedule_at(
-                    when, lambda n=node: n.send_heartbeats(), home=node.node_id
-                )
+                self.scheduler.schedule_at(when, lambda n=node: n.send_heartbeats())
 
     def _schedule_telemetry_sampling(self) -> None:
         """Pre-schedule every registry sampling tick over the run's span.
@@ -458,18 +438,9 @@ class DistributedJoinSystem:
         registry.gauge("repro_sched_events_processed").set(
             self.scheduler.events_processed
         )
-        registry.gauge("repro_sched_pending_events").set(
-            self.scheduler.pending_accountable() + self.network.unshipped_count()
-        )
-        # Under sharding each worker samples only its home nodes and the
-        # links they transmit on; every (instrument, label) key then lives
-        # on exactly one shard and the merged series reproduce the serial
-        # ones exactly (replicated construction-time link state would
-        # otherwise be counted once per shard).
+        registry.gauge("repro_sched_pending_events").set(self.scheduler.pending)
         for node in self.nodes:
             node_id = node.node_id
-            if self._home_filter is not None and not self._home_filter(node_id):
-                continue
             registry.gauge("repro_node_queue_depth", node=node_id).set(
                 node.queue_depth
             )
@@ -493,8 +464,6 @@ class DistributedJoinSystem:
         for name, labels, value in self.network.stats.iter_counters():
             registry.counter(name, **labels).value = value
         for (source, destination), link in self.network.iter_links():
-            if self._home_filter is not None and not self._home_filter(source):
-                continue
             registry.gauge(
                 "repro_link_backlog_seconds", src=source, dst=destination
             ).set(link.queue_depth_seconds())
@@ -504,24 +473,18 @@ class DistributedJoinSystem:
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Execute via the configured engine, then aggregate metrics."""
-        if self.profiler is not None:
-            with self.profiler.section("system.run"):
-                self.engine.execute(self)
-        else:
-            self.engine.execute(self)
+        """Schedule the workload (unless already done), drain the event
+        queue, then aggregate metrics."""
+        section = (
+            self.profiler.section("system.run")
+            if self.profiler is not None
+            else contextlib.nullcontext()
+        )
+        with section:
+            if self._tuples_scheduled == 0:
+                self.schedule_workload()
+            self.scheduler.run()
         return self._collect()
-
-    def _runtime_records(self) -> List[Dict[str, object]]:
-        """The per-node collection records, built once.
-
-        The sharded engine pre-fills :attr:`_node_records` from worker
-        fragments (ordered by node id, so float reductions sum in serial
-        order); the serial path snapshots the live nodes on first use.
-        """
-        if self._node_records is None:
-            self._node_records = [node.runtime_record() for node in self.nodes]
-        return self._node_records
 
     def _replay_accounting(self) -> None:
         """Apply the nodes' deferred accounting ops to oracles/collectors.
@@ -529,21 +492,19 @@ class DistributedJoinSystem:
         Nodes log (rather than apply) every oracle/collector mutation so
         the accuracy numbers are a pure function of per-node histories --
         see :func:`repro.metrics.accounting.replay_accounting`.  Replay is
-        idempotent per run because each record's log is consumed once."""
+        idempotent per run because each node's log is consumed once."""
         ops = []
-        for record in self._runtime_records():
-            ops.extend(record["accounting_ops"])
-            record["accounting_ops"] = []
+        for node in self.nodes:
+            ops.extend(node.accounting_ops)
+            node.accounting_ops = []
         replay_accounting(ops, self.oracles, self.collectors)
 
     def _collect(self) -> RunResult:
         if self.telemetry is not None:
             # One final tick so the series capture the drained end state.
-            # (After a sharded run the workers already ticked at the
-            # global end time, so this deduplicates to a no-op.)
             self.telemetry.sample_tick()
-        records = self._runtime_records()
         self._replay_accounting()
+        nodes = self.nodes
         stats = self.network.stats
         merged_series: Dict[int, int] = {}
         for collector in self.collectors:
@@ -573,10 +534,10 @@ class DistributedJoinSystem:
             merged_latency.merge(collector.latency)
         reliability: Dict[str, float] = {}
         if self.config.reliability.enabled:
-            for record in records:
-                for key, value in record["transport"].items():
+            for node in nodes:
+                for key, value in node.transport.counters().items():
                     reliability[key] = reliability.get(key, 0.0) + value
-                for key, value in record["health"].items():
+                for key, value in node.health.counters().items():
                     if key.endswith("_max_s"):
                         reliability[key] = max(reliability.get(key, 0.0), value)
                     elif key.endswith("_mean_s"):
@@ -588,15 +549,12 @@ class DistributedJoinSystem:
                         reliability[key] = reliability.get(key, 0.0) + value
                 reliability["forced_broadcast_sends"] = (
                     reliability.get("forced_broadcast_sends", 0.0)
-                    + record["forced_broadcast_sends"]
+                    + node.forced_broadcast_sends
                 )
                 reliability["suppressed_sends"] = (
-                    reliability.get("suppressed_sends", 0.0)
-                    + record["suppressed_sends"]
+                    reliability.get("suppressed_sends", 0.0) + node.suppressed_sends
                 )
-                reliability["resyncs"] = (
-                    reliability.get("resyncs", 0.0) + record["resyncs"]
-                )
+                reliability["resyncs"] = reliability.get("resyncs", 0.0) + node.resyncs
             samples = reliability.pop("_mean_samples", 0.0)
             if samples and "recovery_latency_mean_s" in reliability:
                 reliability["recovery_latency_mean_s"] /= samples
@@ -604,22 +562,14 @@ class DistributedJoinSystem:
         if self.fault_injector is not None:
             faults = self.fault_injector.summary()
             faults["local_arrivals_dropped"] = float(
-                sum(record["local_arrivals_dropped"] for record in records)
+                sum(node.local_arrivals_dropped for node in nodes)
             )
         recovery: Dict[str, float] = {}
         if self.checkpoint_store is not None:
-            # Store totals equal the per-node counter sums (every save
-            # goes through node.take_checkpoint), and the records survive
-            # a sharded run where the parent store never saved anything.
-            recovery = {
-                "checkpoints_taken": float(
-                    sum(record["checkpoints_taken"] for record in records)
-                ),
-                "checkpoint_bytes": float(
-                    sum(record["checkpoint_bytes"] for record in records)
-                ),
-            }
+            recovery = {}
             for key in (
+                "checkpoints_taken",
+                "checkpoint_bytes",
                 "restarts",
                 "tuples_logged",
                 "tuples_replayed",
@@ -630,14 +580,15 @@ class DistributedJoinSystem:
                 "state_transfer_bytes_saved",
                 "state_transfer_fallbacks",
             ):
-                recovery[key] = float(sum(record[key] for record in records))
+                recovery[key] = float(sum(getattr(node, key) for node in nodes))
             rejoin_latencies: List[float] = []
             clean = degraded = 0
-            for record in records:
-                if record["rejoin_latencies"] is None:
+            for node in nodes:
+                machine = node.recovery_machine
+                if machine is None:
                     continue
-                rejoin_latencies.extend(record["rejoin_latencies"])
-                for trigger in record["recovery_triggers"]:
+                rejoin_latencies.extend(machine.rejoin_latencies)
+                for _, trigger, _ in machine.history:
                     if trigger == "synced":
                         clean += 1
                     elif trigger == "timeout":
@@ -652,25 +603,26 @@ class DistributedJoinSystem:
             recovery["dead_letters"] = reliability.get("delivery_failures", 0.0)
         overload: Dict[str, float] = {}
         if self.config.overload.enabled:
+            ladders = [
+                node.degradation_ladder
+                for node in nodes
+                if node.degradation_ladder is not None
+            ]
             overload = {
-                "shed_tuples": float(
-                    sum(record["shed_tuples"] for record in records)
-                ),
-                "shed_messages": float(
-                    sum(record["shed_messages"] for record in records)
-                ),
+                "shed_tuples": float(sum(node.shed_tuples for node in nodes)),
+                "shed_messages": float(sum(node.shed_messages for node in nodes)),
                 "suppressed_flushes": float(
-                    sum(record["suppressed_flushes"] for record in records)
+                    sum(node.suppressed_flushes for node in nodes)
                 ),
                 "link_messages_shed": float(self.network.total_messages_shed()),
                 "mode_transitions": float(
-                    sum(record["overload_transitions"] or 0 for record in records)
+                    sum(len(ladder.history) for ladder in ladders)
                 ),
                 "throttled_seconds": 0.0,
                 "shedding_seconds": 0.0,
             }
-            for record in records:
-                residency = record["overload_residency"]
+            for ladder in ladders:
+                residency = ladder.residency_seconds(self.scheduler.now)
                 if residency:
                     overload["throttled_seconds"] += residency["throttled"]
                     overload["shedding_seconds"] += residency["shedding"]
@@ -685,9 +637,7 @@ class DistributedJoinSystem:
             arrival_span_seconds=self._arrival_span,
             traffic=stats.as_dict(),
             messages_by_kind=dict(stats.messages_by_kind),
-            node_diagnostics={
-                record["node_id"]: record["diagnostics"] for record in records
-            },
+            node_diagnostics={node.node_id: node.diagnostics() for node in nodes},
             throughput_series=series,
             sustained_throughput=sustained,
             per_query=per_query,
@@ -702,6 +652,6 @@ class DistributedJoinSystem:
         )
 
 
-def run_experiment(config: SystemConfig, profiler=None, shards=None) -> RunResult:
+def run_experiment(config: SystemConfig, profiler=None) -> RunResult:
     """One-call convenience: build, run, and return the result."""
-    return DistributedJoinSystem(config, profiler=profiler, shards=shards).run()
+    return DistributedJoinSystem(config, profiler=profiler).run()

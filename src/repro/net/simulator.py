@@ -16,18 +16,12 @@ Ordering contract.  Events order by ``(time, phase, rank, seq)``:
   *entity* (a node, a link) and the seq is that entity's own monotone
   counter, so the key is a pure function of the entity's local history.
 
-The phase-1 keys are what make the sharded execution engine
-(:mod:`repro.engine`) possible: a key derived from global insertion
-order cannot be reproduced when the event population is split across
-processes, but an entity-local key can -- each entity lives in exactly
-one shard and replays exactly its serial history.  The serial engine
-orders by the same keys, so serial and sharded runs execute every
-entity's events in the same order.
-
-Events also carry a ``home``: the node the event belongs to, or ``None``
-for run-global events (telemetry ticks, fault edges).  The serial engine
-ignores it; the sharded engine prunes non-home events after replicated
-construction and counts ``home=None`` events on one shard only.
+Phase-1 keys make the order of same-time events a pure function of
+each entity's own history.  A key taken from global insertion order
+would shift whenever an unrelated component scheduled one more or one
+fewer event first (a link created lazily in a different order, a
+feature switched on elsewhere), so same-time ties -- and with them the
+recorded goldens -- would drift for reasons unrelated to the entity.
 
 The design intentionally avoids coroutine-style processes: the node logic in
 :mod:`repro.core.node` is reactive (it only acts when a tuple or message
@@ -54,8 +48,7 @@ class EventKeySource:
     ``rank`` is the entity's canonical id in the run (node id for nodes;
     ``num_nodes + src * num_nodes + dst`` for links), ``seq`` a monotone
     per-entity counter.  Keys depend only on the entity's own scheduling
-    history, never on global insertion order, which is what keeps them
-    identical between the serial and the sharded engine.
+    history, never on global insertion order (see the module docstring).
     """
 
     __slots__ = ("rank", "_next")
@@ -85,12 +78,7 @@ class Event:
     callback: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
     material: bool = field(default=True, compare=False)
-    home: Optional[int] = field(default=None, compare=False)
     owner: Optional["EventScheduler"] = field(default=None, compare=False, repr=False)
-
-    @property
-    def sort_key(self) -> Tuple[float, int, int, int]:
-        return (self.time, self.phase, self.rank, self.seq)
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when its time comes."""
@@ -127,18 +115,6 @@ class EventScheduler:
         self.telemetry = None
         """Optional :class:`repro.telemetry.TelemetryHub`; when set,
         heap compactions are emitted as scheduler events."""
-        self.count_global_events = True
-        """Whether ``home=None`` events increment :attr:`events_processed`.
-        The sharded engine replicates global events on every shard and
-        counts them on shard 0 only, so the merged total matches serial."""
-        self.current_key: Optional[Tuple[float, int, int, int]] = None
-        """Sort key of the currently executing event (``None`` outside the
-        loop).  Telemetry stamps emissions with it to define a canonical
-        cross-shard event order."""
-        self._home_filtered = False
-        """Set by :meth:`retain_events`: the queue was pruned to a home
-        subset, so :meth:`pending_accountable` must filter rather than
-        shortcut to :attr:`pending`."""
 
     @property
     def now(self) -> float:
@@ -164,24 +140,6 @@ class EventScheduler:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue) - self._cancelled_pending
-
-    def pending_accountable(self) -> int:
-        """Live queued events this scheduler is *accountable* for.
-
-        Serial: identical to :attr:`pending`.  Sharded workers: home
-        events plus -- on the one shard with ``count_global_events`` --
-        the replicated run-global events, mirroring how
-        :attr:`events_processed` counts.  Summing the value across
-        shards therefore reproduces the serial pending count exactly.
-        """
-        if not self._home_filtered:
-            return self.pending
-        return sum(
-            1
-            for event in self._queue
-            if not event.cancelled
-            and (event.home is not None or self.count_global_events)
-        )
 
     def _note_cancelled(self) -> None:
         self._cancelled_pending += 1
@@ -213,7 +171,6 @@ class EventScheduler:
         callback: Callable[[], None],
         material: bool = True,
         key: Optional[EventKey] = None,
-        home: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` at absolute simulated ``time``.
 
@@ -222,8 +179,7 @@ class EventScheduler:
         sampling) that must not advance :attr:`material_now`.  ``key``
         is an entity-local ``(rank, seq)`` from an
         :class:`EventKeySource` (phase 1); without one the event is
-        phase 0 and ties break by insertion order.  ``home`` names the
-        owning node (``None`` = run-global).
+        phase 0 and ties break by insertion order.
         """
         if time < self._now:
             raise SimulationError(
@@ -237,7 +193,6 @@ class EventScheduler:
                 seq=next(self._sequence),
                 callback=callback,
                 material=material,
-                home=home,
                 owner=self,
             )
         else:
@@ -248,7 +203,6 @@ class EventScheduler:
                 seq=key[1],
                 callback=callback,
                 material=material,
-                home=home,
                 owner=self,
             )
         heapq.heappush(self._queue, event)
@@ -260,61 +214,20 @@ class EventScheduler:
         callback: Callable[[], None],
         material: bool = True,
         key: Optional[EventKey] = None,
-        home: Optional[int] = None,
     ) -> Event:
         """Schedule ``callback`` after ``delay`` seconds of simulated time."""
         if delay < 0:
             raise SimulationError("delay must be non-negative, got %g" % delay)
         return self.schedule_at(
-            self._now + delay, callback, material=material, key=key, home=home
+            self._now + delay, callback, material=material, key=key
         )
-
-    def enqueue_event(self, event: Event) -> None:
-        """Insert a fully-formed event (the sharded engine's cross-shard
-        arrival path: the key was minted at the source shard and must be
-        preserved verbatim)."""
-        if event.time < self._now:
-            raise SimulationError(
-                "cannot enqueue at t=%g; clock is already at t=%g"
-                % (event.time, self._now)
-            )
-        event.owner = self
-        heapq.heappush(self._queue, event)
-
-    def retain_events(self, predicate: Callable[[Event], bool]) -> int:
-        """Keep only events matching ``predicate``; returns removed count.
-
-        The sharded engine's pruning step after replicated construction:
-        every shard builds the full event population, then keeps its home
-        nodes' events plus the run-global ones.  Cancelled entries are
-        dropped regardless.
-        """
-        before = len(self._queue)
-        self._queue = [
-            event
-            for event in self._queue
-            if not event.cancelled and predicate(event)
-        ]
-        heapq.heapify(self._queue)
-        self._cancelled_pending = 0
-        self._home_filtered = True
-        return before - len(self._queue)
-
-    def next_event_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` on an empty queue."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-            self._cancelled_pending -= 1
-        return self._queue[0].time if self._queue else None
 
     def _execute(self, event: Event) -> None:
         self._now = event.time
         if event.material:
             self._material_now = event.time
-        self.current_key = event.sort_key
         event.callback()
-        if event.home is not None or self.count_global_events:
-            self._events_processed += 1
+        self._events_processed += 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
@@ -345,38 +258,7 @@ class EventScheduler:
                 self._material_now = until
         finally:
             self._running = False
-            self.current_key = None
         return self._now
-
-    def run_window(self, until: float) -> int:
-        """Execute every event with ``time < until``; return the count.
-
-        The sharded engine's round body: strictly-less-than keeps round
-        boundaries consistent across shards (an event at exactly the
-        horizon belongs to the next round), and unlike :meth:`run` the
-        clocks are *not* advanced to ``until`` on exhaustion -- the final
-        ``material_now`` must reflect real events only, so the merged
-        run duration equals the serial one.
-        """
-        if self._running:
-            raise SimulationError("scheduler is not reentrant")
-        self._running = True
-        executed = 0
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if event.time >= until:
-                    break
-                heapq.heappop(self._queue)
-                if event.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                self._execute(event)
-                executed += 1
-        finally:
-            self._running = False
-            self.current_key = None
-        return executed
 
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
@@ -389,6 +271,5 @@ class EventScheduler:
                 self._cancelled_pending -= 1
                 continue
             self._execute(event)
-            self.current_key = None
             return True
         return False

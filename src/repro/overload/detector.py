@@ -2,9 +2,9 @@
 
 The detector watches one node's service-queue depth on the *simulated*
 clock and walks the :class:`~repro.overload.ladder.DegradationLadder`
-one legal rung at a time.  Everything it consults -- queue depth, the
-simulated time, the watermarks -- is identical across execution engines,
-so serial and ``--shards N`` runs take byte-identical mode trajectories.
+one legal rung at a time.  It consults only queue depth, the simulated
+time and the watermarks -- no RNG, no wall clock -- so a seed fixes the
+mode trajectory exactly.
 
 Escalation is immediate (a queue at the shed watermark fires
 ``throttle`` and then ``shed`` in one observation); de-escalation is

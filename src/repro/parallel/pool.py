@@ -22,20 +22,14 @@ Three invariants make parallel == serial == cached:
 ``jobs=1`` never touches multiprocessing at all, so existing callers
 are bit-for-bit unaffected).
 
-``--shards`` composes with ``--jobs``: each cell may itself run under
-the sharded engine (``shards`` worker processes per simulation -- see
-:mod:`repro.engine`).  Because sharded execution is byte-identical to
-serial, cache keys deliberately ignore the shard count: a cell computed
-serially is a cache hit for the same cell at any ``--shards``, and vice
-versa.  :func:`clamp_jobs` keeps ``shards x jobs`` within the machine's
-CPU count.
+This pool is the only parallelism layer: each cell is one serial
+simulation in one process.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import import_module
@@ -83,29 +77,6 @@ def resolve_jobs(jobs: int = 0) -> int:
     return value
 
 
-def clamp_jobs(jobs: int, shards: int) -> int:
-    """Keep ``shards x jobs`` processes within the CPU count.
-
-    Each pool worker running a sharded cell spawns ``shards`` engine
-    workers of its own; oversubscribing the machine only adds scheduler
-    thrash.  When the product exceeds ``os.cpu_count()``, the pool side
-    is clamped (with a warning) -- shards win because they change the
-    latency of every cell, jobs only the throughput of the sweep.
-    """
-    if shards <= 1 or jobs <= 1:
-        return jobs
-    cpus = os.cpu_count() or 1
-    if shards * jobs <= cpus:
-        return jobs
-    clamped = max(1, cpus // shards)
-    print(
-        "warning: clamping --jobs %d to %d (%d shards x %d jobs would "
-        "oversubscribe %d CPUs)" % (jobs, clamped, shards, jobs, cpus),
-        file=sys.stderr,
-    )
-    return clamped
-
-
 @dataclass(frozen=True)
 class RunRequest:
     """One cell of a sweep.
@@ -121,10 +92,6 @@ class RunRequest:
     config: SystemConfig
     extractors: ExtractorSpec = ()
     label: str = ""
-    shards: int = 0
-    """Shard count for the cell's own engine (0 = resolve from
-    ``REPRO_SHARDS``, 1 = serial).  Never part of the cache key --
-    sharded runs are byte-identical to serial."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +116,7 @@ def _resolve_extractor(ref: str):
 
 
 def execute_cell(
-    config: SystemConfig, extractors: ExtractorSpec = (), shards: int = 0
+    config: SystemConfig, extractors: ExtractorSpec = ()
 ) -> Tuple[RunResult, Dict[str, object]]:
     """Run one simulation from clean global state; the pool entrypoint.
 
@@ -159,15 +126,9 @@ def execute_cell(
     function of the seed.  A cached and a freshly computed cell are then
     equal field for field, and every artifact derived from either is
     byte-identical.
-
-    ``shards`` (explicit or via ``REPRO_SHARDS``) runs the cell under
-    the sharded engine.  Sweeps mix mesh sizes, so the count is clamped
-    to the cell's node count rather than rejected -- a 2-node cell in a
-    ``--shards 4`` sweep simply runs at 2 shards, with identical output.
     """
     from repro._rng import ensure_rng
     from repro.core.system import DistributedJoinSystem
-    from repro.engine import resolve_shards
     from repro.streams.tuples import peek_next_tuple_ids, reset_tuple_ids
 
     global _simulations
@@ -183,9 +144,7 @@ def execute_cell(
             "RNG construction is not a pure function of the seed; "
             "worker state would leak between cells"
         )
-    system = DistributedJoinSystem(
-        config, shards=min(resolve_shards(shards), config.num_nodes)
-    )
+    system = DistributedJoinSystem(config)
     result = system.run()
     _simulations += 1
     extras = {
@@ -238,7 +197,6 @@ def run_many(
     jobs: int = 0,
     cache: Optional[RunCache] = None,
     progress: Optional[Progress] = None,
-    shards: int = 0,
 ) -> List[RunOutcome]:
     """Execute every request; outcomes come back in submission order.
 
@@ -246,16 +204,8 @@ def run_many(
     counters stay complete regardless of ``jobs``, workers never race on
     entry files, and a fully warm sweep dispatches zero work -- it does
     not even build a pool.
-
-    ``shards`` is the default shard count for cells that do not carry
-    their own (``RunRequest.shards == 0``); ``shards x jobs`` is clamped
-    to the CPU count.  Cache keys ignore shards entirely.
     """
-    from repro.engine import resolve_shards
-
     jobs = resolve_jobs(jobs)
-    shards = resolve_shards(shards)
-    jobs = clamp_jobs(jobs, shards)
     requests = list(requests)
     outcomes: List[Optional[RunOutcome]] = [None] * len(requests)
     pending: List[Tuple[int, RunRequest, Optional[str]]] = []
@@ -280,9 +230,7 @@ def run_many(
         for index, request, key in pending:
             if progress is not None:
                 progress(request.label or "cell %d" % index)
-            result, extras = execute_cell(
-                request.config, request.extractors, request.shards or shards
-            )
+            result, extras = execute_cell(request.config, request.extractors)
             outcomes[index] = RunOutcome(result=result, extras=extras)
             if cache is not None:
                 cache.store(key, result, extras)
@@ -297,10 +245,7 @@ def run_many(
                         index,
                         key,
                         pool.submit(
-                            execute_cell,
-                            request.config,
-                            request.extractors,
-                            request.shards or shards,
+                            execute_cell, request.config, request.extractors
                         ),
                     )
                 )
@@ -318,7 +263,6 @@ def run_configs(
     cache: Optional[RunCache] = None,
     progress: Optional[Progress] = None,
     labels: Optional[Sequence[str]] = None,
-    shards: int = 0,
 ) -> List[RunResult]:
     """Plain config grid -> results, in order (the figure-sweep shape)."""
     configs = list(configs)
@@ -332,9 +276,7 @@ def run_configs(
     ]
     return [
         outcome.result
-        for outcome in run_many(
-            requests, jobs=jobs, cache=cache, progress=progress, shards=shards
-        )
+        for outcome in run_many(requests, jobs=jobs, cache=cache, progress=progress)
     ]
 
 

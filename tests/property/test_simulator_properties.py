@@ -1,9 +1,12 @@
-"""Property-based tests for the event scheduler and ground truth."""
+"""Property-based tests for the event scheduler, links and ground truth."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.join.ground_truth import GroundTruthOracle
+from repro.net.link import Link, LinkSpec
+from repro.net.message import Message, MessageKind
 from repro.net.simulator import EventScheduler
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import CountWindow
@@ -34,6 +37,52 @@ def test_clock_never_goes_backwards(delays):
         scheduler.schedule_in(delay, observe)
     scheduler.run()
     assert observed == sorted(observed)
+
+
+link_specs = st.builds(
+    LinkSpec,
+    bandwidth_bps=st.floats(min_value=1e3, max_value=1e9),
+    latency_min_s=st.floats(min_value=1e-4, max_value=0.5),
+    latency_max_s=st.floats(min_value=0.5, max_value=2.0),
+)
+
+send_plans = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),  # send time
+        st.integers(min_value=0, max_value=64),  # piggy-backed entries
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(spec=link_specs, plan=send_plans, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_arrival_never_precedes_send_plus_latency_min(spec, plan, seed):
+    """arrival >= send + latency_min on every link, whatever the traffic.
+
+    Sampled propagation lies in [latency_min, latency_max] and both
+    serialization and FIFO backlog only add delay, so the minimum
+    latency is a true lower bound on every message's transit time.
+    """
+    spec.validate()
+    scheduler = EventScheduler()
+    link = Link(
+        scheduler,
+        spec,
+        deliver=lambda message: None,
+        rng=np.random.default_rng(seed),
+    )
+    for send_time, entries in sorted(plan):
+        scheduler._now = send_time
+        message = Message(
+            kind=MessageKind.TUPLE,
+            source=0,
+            destination=1,
+            summary_entries=entries,
+        )
+        arrival = link.send(message)
+        assert arrival >= send_time + spec.latency_min_s
 
 
 arrival_plans = st.lists(

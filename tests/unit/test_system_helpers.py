@@ -13,6 +13,7 @@ from repro.config import (
     WorkloadKind,
 )
 from repro.core.system import DistributedJoinSystem, build_key_stream
+from repro.errors import ConfigurationError
 from repro.net.message import MessageKind
 
 
@@ -109,3 +110,25 @@ class TestArrivalSchedule:
         s_pop = system.oracle.window_population(StreamId.S)
         # Windows full on both sides at run end (3 nodes x 64 capacity).
         assert r_pop + s_pop == 2 * 3 * 64 or abs(r_pop - s_pop) < 100
+
+
+class TestShardsGuard:
+    """``shards`` survives only as a guard: within-run sharding is gone."""
+
+    @staticmethod
+    def config():
+        return SystemConfig(
+            num_nodes=3,
+            window_size=16,
+            policy=PolicyConfig(algorithm=Algorithm.DFTT),
+            workload=WorkloadConfig(total_tuples=120, domain=64),
+            seed=5,
+        )
+
+    def test_more_than_one_shard_is_refused(self):
+        with pytest.raises(ConfigurationError, match="sharding was removed.*--jobs"):
+            DistributedJoinSystem(self.config(), shards=2)
+
+    def test_one_shard_runs_serially(self):
+        result = DistributedJoinSystem(self.config(), shards=1).run()
+        assert result.tuples_arrived == 120
