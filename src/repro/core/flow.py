@@ -187,19 +187,33 @@ class FlowController:
 
     @staticmethod
     def _solve_weight(similarities: Mapping[int, float], target: float) -> float:
-        """Bisection on sum_j min(1, w * rho_j) = target."""
+        """Bisection on sum_j min(1, w * rho_j) = target.
+
+        The sums are plain left-to-right loops, as in every reduction
+        here: ``sum()`` of floats rounds differently from Python 3.12 on
+        (compensated summation), and the weight decides every forwarding
+        coin, so the result must not depend on the interpreter.
+        """
         values = [v for v in similarities.values() if v > 0]
         achieved = float(len(values))  # w -> infinity limit
         if achieved <= target:
             return math.inf
+
+        def filled(weight: float) -> float:
+            total = 0.0
+            for value in values:
+                x = weight * value
+                total += x if x < 1.0 else 1.0
+            return total
+
         low, high = 0.0, 1.0
-        while sum(min(1.0, high * v) for v in values) < target:
+        while filled(high) < target:
             high *= 2.0
             if math.isinf(high):  # defensive: cannot happen past the
                 return high  # achieved-limit check above
         for _ in range(64):
             mid = (low + high) / 2.0
-            if sum(min(1.0, mid * v) for v in values) < target:
+            if filled(mid) < target:
                 low = mid
             else:
                 high = mid
@@ -221,7 +235,10 @@ class FlowController:
 
     def expected_transmissions(self, probabilities: Mapping[int, float]) -> float:
         """T_i implied by a probability assignment."""
-        return float(sum(probabilities.values()))
+        total = 0.0
+        for probability in probabilities.values():
+            total += probability
+        return float(total)
 
     def is_uniform_worst_case(self, similarities: Mapping[int, float]) -> bool:
         """Detect Section 5.2.2's worst case: all peers equally similar.
@@ -233,8 +250,14 @@ class FlowController:
         values = list(similarities.values())
         if len(values) < 2:
             return False
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
+        total = 0.0
+        for value in values:
+            total += value
+        mean = total / len(values)
+        spread = 0.0
+        for value in values:
+            spread += (value - mean) ** 2
+        variance = spread / len(values)
         uniform = variance < self.settings.uniform_variance_threshold
         if uniform:
             self.uniform_detections += 1

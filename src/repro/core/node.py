@@ -1477,7 +1477,7 @@ class JoinProcessingNode:
 
     def _pause_seconds(self, message: Message) -> float:
         """Sender-side serialization pause (the 90 kbps emulation)."""
-        return message.size_bytes() * 8.0 / self.config.sender_paced_bps
+        return message.size * 8.0 / self.config.sender_paced_bps
 
     def _note_arrival(self, now: float) -> None:
         if self._last_arrival_time is not None:

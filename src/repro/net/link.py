@@ -64,10 +64,16 @@ class LinkSpec:
             raise ConfigurationError("loss_probability must lie in [0, 1)")
 
     def sample_latency(self, rng: np.random.Generator) -> float:
-        """Draw one propagation latency."""
-        if self.latency_max_s == self.latency_min_s:
-            return self.latency_min_s
-        return float(rng.uniform(self.latency_min_s, self.latency_max_s))
+        """Draw one propagation latency.
+
+        ``lo + (hi - lo) * rng.random()`` is numpy's own formula for
+        ``Generator.uniform(lo, hi)``: the same one draw and the same
+        float, without ``uniform``'s argument broadcasting.
+        """
+        low = self.latency_min_s
+        if self.latency_max_s == low:
+            return low
+        return low + (self.latency_max_s - low) * rng.random()
 
 
 class Link:
@@ -128,11 +134,11 @@ class Link:
 
     def transmission_time(self, message: Message) -> float:
         """Serialization delay for ``message`` at the link bandwidth."""
-        return message.size_bytes() * 8.0 / self._spec.bandwidth_bps
+        return message.size * 8.0 / self._spec.bandwidth_bps
 
     def _drop(self, message: Message) -> None:
         self.messages_lost += 1
-        self.bytes_lost += message.size_bytes()
+        self.bytes_lost += message.size
         if self._on_drop is not None:
             self._on_drop(message)
 
@@ -144,10 +150,8 @@ class Link:
         throughput experiments measure.
         """
         now = self._scheduler.now
-        if (
-            self.backlog_bound_s > 0.0
-            and self._free_at - now >= self.backlog_bound_s
-        ):
+        free_at = self._free_at
+        if self.backlog_bound_s > 0.0 and free_at - now >= self.backlog_bound_s:
             # Shed before serialization *and* before any RNG draw, so a
             # bounded link's jitter/loss streams stay pure functions of
             # the messages that actually occupy it.
@@ -155,34 +159,33 @@ class Link:
             message.created_at = now
             self._drop(message)
             return now
+        spec = self._spec
         tx_time = self.transmission_time(message)
-        depart = max(now, self._free_at) + tx_time
+        depart = (now if now > free_at else free_at) + tx_time
         self.busy_seconds += tx_time
         self._free_at = depart
-        latency = self._spec.sample_latency(self._rng)
-        if self._injector is not None and self._endpoints is not None:
-            latency += self._injector.extra_latency(*self._endpoints)
+        latency = spec.sample_latency(self._rng)
+        injector = self._injector if self._endpoints is not None else None
+        if injector is not None:
+            latency += injector.extra_latency(*self._endpoints)
         arrival = depart + latency
-        if self._spec.preserve_order and arrival < self._last_arrival:
+        if spec.preserve_order and arrival < self._last_arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
         message.created_at = now
         self.messages_sent += 1
-        self.bytes_sent += message.size_bytes()
-        if self._injector is not None and self._endpoints is not None:
-            if self._injector.link_blocked(*self._endpoints):
-                self._injector.note_blocked()
+        self.bytes_sent += message.size
+        if injector is not None:
+            if injector.link_blocked(*self._endpoints):
+                injector.note_blocked()
                 self._drop(message)
                 return arrival  # serialized, paid for, never delivered
-            burst = self._injector.extra_loss(*self._endpoints)
+            burst = injector.extra_loss(*self._endpoints)
             if burst > 0.0 and self._rng.random() < burst:
-                self._injector.note_blocked()
+                injector.note_blocked()
                 self._drop(message)
                 return arrival
-        if (
-            self._spec.loss_probability > 0.0
-            and self._rng.random() < self._spec.loss_probability
-        ):
+        if spec.loss_probability > 0.0 and self._rng.random() < spec.loss_probability:
             self._drop(message)
             return arrival
         key = self.key_source.next_key() if self.key_source is not None else None

@@ -79,7 +79,8 @@ class Message:
     ``summary_entries`` counts piggy-backed summary coefficients (or filter
     fragments); their bytes are accounted to the *summary* category even when
     they ride on a TUPLE message, which is how Figure 8 separates overhead
-    from net data.
+    from net data.  ``kind`` and ``summary_entries`` are fixed at
+    construction, so the wire size is computed once, in ``size``.
     """
 
     kind: MessageKind
@@ -93,6 +94,11 @@ class Message:
     """Reliable-channel sequence number (None for best-effort traffic);
     on ACK messages, the sequence number being acknowledged.  Rides in the
     fixed header, so it adds no modeled bytes."""
+    size: int = field(init=False, compare=False, repr=False)
+    """Total on-the-wire bytes; see :meth:`size_bytes`."""
+
+    def __post_init__(self) -> None:
+        self.size = HEADER_BYTES + self.tuple_bytes() + self.summary_bytes()
 
     def tuple_bytes(self) -> int:
         """Bytes attributable to the tuple/result/control body."""
@@ -108,4 +114,4 @@ class Message:
 
     def size_bytes(self) -> int:
         """Total on-the-wire size."""
-        return HEADER_BYTES + self.tuple_bytes() + self.summary_bytes()
+        return self.size

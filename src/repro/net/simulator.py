@@ -4,7 +4,9 @@ The scheduler is the clock of the simulated WAN.  Components schedule
 callbacks at absolute or relative simulated times; :meth:`EventScheduler.run`
 drains the event queue in time order.
 
-Ordering contract.  Events order by ``(time, phase, rank, seq)``:
+Ordering contract.  The heap holds plain tuples
+``(time, phase, rank, seq, event)`` and pops them in ``(time, phase,
+rank, seq)`` order:
 
 * **phase 0** -- events scheduled without an explicit key (all
   construction-time scheduling: workload arrivals, heartbeat ticks,
@@ -16,6 +18,8 @@ Ordering contract.  Events order by ``(time, phase, rank, seq)``:
   *entity* (a node, a link) and the seq is that entity's own monotone
   counter, so the key is a pure function of the entity's local history.
 
+No two queued entries share ``(phase, rank, seq)``, so tuple comparison
+never reaches the :class:`Event` handle, which defines no ordering.
 Phase-1 keys make the order of same-time events a pure function of
 each entity's own history.  A key taken from global insertion order
 would shift whenever an unrelated component scheduled one more or one
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from typing import Callable, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -63,22 +67,27 @@ class EventKeySource:
         return key
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """Handle of one scheduled callback (see :meth:`EventScheduler.schedule_at`).
 
-    Events order by ``(time, phase, rank, seq)`` -- see the module
-    docstring for the phase/rank/seq contract.
+    The ordering key lives in the heap entry, not here (see the module
+    docstring); the handle only carries what firing and cancelling need.
     """
 
-    time: float
-    phase: int
-    rank: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    material: bool = field(default=True, compare=False)
-    owner: Optional["EventScheduler"] = field(default=None, compare=False, repr=False)
+    __slots__ = ("time", "callback", "cancelled", "material", "owner")
+
+    def __init__(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        material: bool = True,
+        owner: Optional["EventScheduler"] = None,
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.material = material
+        self.owner = owner
 
     def cancel(self) -> None:
         """Mark the event so the scheduler skips it when its time comes."""
@@ -104,7 +113,7 @@ class EventScheduler:
     costs more than the dead entries do."""
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[Tuple[float, int, int, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._material_now = 0.0
@@ -151,9 +160,11 @@ class EventScheduler:
 
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify the survivors."""
-        before = len(self._queue)
-        self._queue = [event for event in self._queue if not event.cancelled]
-        heapq.heapify(self._queue)
+        queue = self._queue
+        before = len(queue)
+        # In place: a running loop holds this list in a local.
+        queue[:] = [entry for entry in queue if not entry[4].cancelled]
+        heapq.heapify(queue)
         self._cancelled_pending = 0
         self.compactions += 1
         if self.telemetry is not None:
@@ -185,27 +196,12 @@ class EventScheduler:
             raise SimulationError(
                 "cannot schedule at t=%g; clock is already at t=%g" % (time, self._now)
             )
+        event = Event(time, callback, material, self)
         if key is None:
-            event = Event(
-                time=time,
-                phase=0,
-                rank=0,
-                seq=next(self._sequence),
-                callback=callback,
-                material=material,
-                owner=self,
-            )
+            entry = (time, 0, 0, next(self._sequence), event)
         else:
-            event = Event(
-                time=time,
-                phase=1,
-                rank=key[0],
-                seq=key[1],
-                callback=callback,
-                material=material,
-                owner=self,
-            )
-        heapq.heappush(self._queue, event)
+            entry = (time, 1, key[0], key[1], event)
+        heapq.heappush(self._queue, entry)
         return event
 
     def schedule_in(
@@ -222,13 +218,6 @@ class EventScheduler:
             self._now + delay, callback, material=material, key=key
         )
 
-    def _execute(self, event: Event) -> None:
-        self._now = event.time
-        if event.material:
-            self._material_now = event.time
-        event.callback()
-        self._events_processed += 1
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
 
@@ -240,18 +229,24 @@ class EventScheduler:
             raise SimulationError("scheduler is not reentrant")
         self._running = True
         executed = 0
+        limit = math.inf if max_events is None else max_events
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
+            while queue:
+                if executed >= limit:
                     break
-                event = self._queue[0]
-                if until is not None and event.time > until:
+                if until is not None and queue[0][0] > until:
                     break
-                heapq.heappop(self._queue)
+                event = heappop(queue)[4]
                 if event.cancelled:
                     self._cancelled_pending -= 1
                     continue
-                self._execute(event)
+                self._now = time = event.time
+                if event.material:
+                    self._material_now = time
+                event.callback()
+                self._events_processed += 1
                 executed += 1
             if until is not None and self._now < until:
                 self._now = until
@@ -265,11 +260,6 @@ class EventScheduler:
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._execute(event)
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed > before

@@ -32,10 +32,12 @@ class TrafficStats:
     def record(self, message: Message) -> None:
         """Account one sent message."""
         kind = message.kind.value
+        size = message.size
+        summary = message.summary_bytes()
         self.messages_by_kind[kind] += 1
-        self.bytes_by_kind[kind] += message.size_bytes()
-        self.summary_bytes += message.summary_bytes()
-        self.net_data_bytes += message.size_bytes() - message.summary_bytes()
+        self.bytes_by_kind[kind] += size
+        self.summary_bytes += summary
+        self.net_data_bytes += size - summary
         self.summary_entries += message.summary_entries
 
     def record_loss(self, message: Message) -> None:
@@ -46,7 +48,7 @@ class TrafficStats:
         instead of leaving it implied by missing deliveries.
         """
         self.messages_lost += 1
-        self.bytes_lost += message.size_bytes()
+        self.bytes_lost += message.size
         self.lost_by_kind[message.kind.value] += 1
 
     @property
@@ -75,17 +77,6 @@ class TrafficStats:
         if self.net_data_bytes == 0:
             return 0.0
         return self.summary_bytes / self.net_data_bytes
-
-    def merge(self, other: "TrafficStats") -> None:
-        """Fold another node's counters into this one (system-wide totals)."""
-        self.messages_by_kind.update(other.messages_by_kind)
-        self.bytes_by_kind.update(other.bytes_by_kind)
-        self.summary_bytes += other.summary_bytes
-        self.net_data_bytes += other.net_data_bytes
-        self.summary_entries += other.summary_entries
-        self.messages_lost += other.messages_lost
-        self.bytes_lost += other.bytes_lost
-        self.lost_by_kind.update(other.lost_by_kind)
 
     def iter_counters(self) -> Iterator[Tuple[str, Dict[str, str], float]]:
         """Yield ``(metric, labels, value)`` for every counter, sorted.

@@ -49,7 +49,9 @@ class Network:
         any link exists)."""
 
         self.stats = TrafficStats()
-        self.per_sender_stats: Dict[int, TrafficStats] = {}
+        """System-wide traffic totals; per-sender and per-link views are
+        the rows of :mod:`repro.analysis.traffic_matrix`, built from
+        :meth:`link_stats`."""
         self.trace = None
         """Optional :class:`repro.net.trace.MessageTrace`; assign to enable."""
 
@@ -99,7 +101,6 @@ class Network:
         if node_id in self._endpoints:
             raise ConfigurationError("node id %d already registered" % node_id)
         self._endpoints[node_id] = endpoint
-        self.per_sender_stats[node_id] = TrafficStats()
 
     @property
     def node_ids(self) -> Tuple[int, ...]:
@@ -142,9 +143,6 @@ class Network:
 
     def _record_loss(self, message: Message) -> None:
         self.stats.record_loss(message)
-        sender_stats = self.per_sender_stats.get(message.source)
-        if sender_stats is not None:
-            sender_stats.record_loss(message)
         if self.trace is not None:
             self.trace.mark_dropped(message.message_id)
         if self.telemetry is not None:
@@ -163,7 +161,6 @@ class Network:
         link = self.link(message.source, message.destination)
         arrival = link.send(message)
         self.stats.record(message)
-        self.per_sender_stats[message.source].record(message)
         if self.trace is not None:
             self.trace.record(self._scheduler.now, message)
         if self.telemetry is not None:

@@ -68,7 +68,7 @@ class MessageTrace:
             source=message.source,
             destination=message.destination,
             kind=message.kind.value,
-            size_bytes=message.size_bytes(),
+            size_bytes=message.size,
             summary_entries=message.summary_entries,
             message_id=message.message_id,
         )

@@ -170,9 +170,7 @@ class TelemetryHub:
         """Account one transmitted message; called by ``Network.send``."""
         kind = message.kind.value
         self.registry.counter("repro_net_messages_total", kind=kind).inc()
-        self.registry.counter("repro_net_bytes_total", kind=kind).inc(
-            message.size_bytes()
-        )
+        self.registry.counter("repro_net_bytes_total", kind=kind).inc(message.size)
         self.registry.counter(
             "repro_link_messages_total",
             src=message.source,
@@ -186,7 +184,7 @@ class TelemetryHub:
                 time=now,
                 dst=message.destination,
                 kind=kind,
-                bytes=message.size_bytes(),
+                bytes=message.size,
                 entries=message.summary_entries,
             )
 

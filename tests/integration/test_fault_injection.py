@@ -108,10 +108,9 @@ class TestLossAccounting:
         assert losses.sum() == system.network.stats.messages_lost
         assert lost_bytes.sum() == system.network.stats.bytes_lost
         assert np.all(np.diag(losses) == 0)
-        # Per-sender stats partition the same totals.
+        # Per-sender rows partition the same totals.
         assert (
-            sum(s.messages_lost for s in system.network.per_sender_stats.values())
-            == system.network.stats.messages_lost
+            sum(losses.sum(axis=1)) == system.network.stats.messages_lost
         )
 
     def test_fault_blocked_messages_are_accounted_as_lost(self, lossy_config):

@@ -1,5 +1,9 @@
 """Property-based tests for flow control and the error metric."""
 
+import functools
+import math
+import operator
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -64,3 +68,46 @@ def test_epsilon_always_in_unit_interval(truth, reported):
 def test_epsilon_monotone_in_reported(truth, reported):
     assume(reported < truth)
     assert epsilon_error(truth, reported) > epsilon_error(truth, reported + 1)
+
+
+def _reference_weight(similarities, target):
+    """The water-filling bisection with every sum a left-to-right reduce."""
+    values = [v for v in similarities.values() if v > 0]
+    if len(values) <= target:
+        return math.inf
+
+    def filled(weight):
+        return functools.reduce(
+            operator.add, [min(1.0, weight * v) for v in values], 0.0
+        )
+
+    low, high = 0.0, 1.0
+    while filled(high) < target:
+        high *= 2.0
+        if math.isinf(high):
+            return high
+    for _ in range(64):
+        mid = (low + high) / 2.0
+        if filled(mid) < target:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
+@given(
+    st.dictionaries(
+        keys=st.integers(min_value=1, max_value=40),
+        values=st.one_of(
+            st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.floats(min_value=0.3, max_value=30.0),
+)
+@settings(max_examples=100)
+def test_solve_weight_matches_left_to_right_reference(similarities, target):
+    assert FlowController._solve_weight(similarities, target) == _reference_weight(
+        similarities, target
+    )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.join.ground_truth import GroundTruthOracle
 from repro.net.link import Link, LinkSpec
 from repro.net.message import Message, MessageKind
-from repro.net.simulator import EventScheduler
+from repro.net.simulator import EventKeySource, EventScheduler
 from repro.streams.tuples import StreamId, StreamTuple
 from repro.streams.window import CountWindow
 
@@ -37,6 +37,90 @@ def test_clock_never_goes_backwards(delays):
         scheduler.schedule_in(delay, observe)
     scheduler.run()
     assert observed == sorted(observed)
+
+
+schedule_plans = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.5, 1.0]),  # tied times
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),  # key rank
+        st.booleans(),  # cancelled before the run
+    ),
+    max_size=60,
+)
+
+
+def _scheduled(plan, compact):
+    """Schedule ``plan``; return the scheduler, the fired keys and the
+    keys expected to fire, in sorted ``(time, phase, rank, seq)`` order.
+
+    With ``compact``, an event at t=0.25 cancels 80 far-future events,
+    which compacts the heap mid-run while later plan events still wait.
+    """
+    scheduler = EventScheduler()
+    sources = {}
+    fired, expected = [], []
+    unkeyed = 0
+
+    def schedule(time, rank):
+        nonlocal unkeyed
+        if rank is None:
+            sort_key = (time, 0, 0, unkeyed)
+            unkeyed += 1
+            key = None
+        else:
+            key = sources.setdefault(rank, EventKeySource(rank)).next_key()
+            sort_key = (time, 1) + key
+
+        return sort_key, scheduler.schedule_at(
+            time, lambda: fired.append(sort_key), key=key
+        )
+
+    for time, rank, cancelled in plan:
+        sort_key, event = schedule(time, rank)
+        if cancelled:
+            event.cancel()
+        else:
+            expected.append(sort_key)
+    if compact:
+        padding = [schedule(100.0, index % 5)[1] for index in range(80)]
+        scheduler.schedule_at(0.25, lambda: [event.cancel() for event in padding])
+    return scheduler, fired, sorted(expected)
+
+
+@given(plan=schedule_plans, compact=st.booleans(), stepwise=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_events_fire_in_sorted_key_order(plan, compact, stepwise):
+    """Keyed and unkeyed events fire in exact ``(time, phase, rank, seq)``
+    order, with cancellations and heap compaction, under run() and step()."""
+    scheduler, fired, expected = _scheduled(plan, compact)
+    if stepwise:
+        while scheduler.step():
+            pass
+    else:
+        scheduler.run()
+    assert fired == expected
+    assert scheduler.pending == 0
+    assert (scheduler.compactions > 0) == compact
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    low=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    width=st.floats(min_value=1e-9, max_value=1.0, allow_nan=False),
+    loss_draws=st.lists(st.booleans(), min_size=1, max_size=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_sample_latency_matches_generator_uniform(seed, low, width, loss_draws):
+    """``sample_latency`` equals ``Generator.uniform(lo, hi)`` draw for
+    draw, with loss draws from the same stream interleaved."""
+    spec = LinkSpec(latency_min_s=low, latency_max_s=low + width)
+    ours, numpy_own = np.random.default_rng(seed), np.random.default_rng(seed)
+    for loss_draw in loss_draws:
+        assert spec.sample_latency(ours) == float(
+            numpy_own.uniform(spec.latency_min_s, spec.latency_max_s)
+        )
+        if loss_draw:
+            assert ours.random() == numpy_own.random()
 
 
 link_specs = st.builds(

@@ -57,6 +57,13 @@ class TestFlowController:
         assert probabilities[2] == pytest.approx(0.75, abs=1e-6)
         assert controller.expected_transmissions(probabilities) == pytest.approx(2.5, abs=1e-6)
 
+    def test_expected_transmissions_sums_left_to_right(self):
+        # sum() gives 1.0 here from Python 3.12 on (compensated summation);
+        # the plain left-to-right sum is the same on every interpreter.
+        controller = FlowController(11)
+        tenths = {peer: 0.1 for peer in range(10)}
+        assert controller.expected_transmissions(tenths) == 0.9999999999999999
+
     def test_all_zero_similarities_spread_uniformly(self):
         controller = FlowController(5, FlowSettings(budget_override=2.0))
         probabilities = controller.probabilities({j: 0.0 for j in range(4)})

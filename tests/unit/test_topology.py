@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import message_matrix
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.link import LinkSpec
 from repro.net.message import Message, MessageKind
@@ -69,8 +70,9 @@ def test_stats_accumulate_globally_and_per_sender():
     network.send(Message(kind=MessageKind.SUMMARY, source=1, destination=0, summary_entries=4))
     scheduler.run()
     assert network.stats.total_messages == 3
-    assert network.per_sender_stats[0].total_messages == 2
-    assert network.per_sender_stats[1].total_messages == 1
+    per_sender = message_matrix(network).sum(axis=1)
+    assert per_sender[0] == 2
+    assert per_sender[1] == 1
     assert network.stats.summary_entries == 4
 
 
